@@ -30,10 +30,7 @@ from .model import (
 )
 from .engine import (
     Explanation,
-    SubsetValue,
-    all_subset_values,
     baseline,
-    eta_baseline_on_probability_scale,
     shapley_exact,
     shapley_exact_batch,
     shapley_two_feature,
@@ -95,8 +92,6 @@ __all__ = [
     "PairDisagreement",
     "RngSpec",
     "StudyConfig",
-    "SubsetValue",
-    "all_subset_values",
     "baseline",
     "baseline_report",
     "baseline_sweep",
@@ -104,7 +99,6 @@ __all__ = [
     "conditional_eta",
     "equal_importance_lines",
     "eta",
-    "eta_baseline_on_probability_scale",
     "eta_importance_closed_form",
     "gauss_hermite_expect_sigmoid",
     "mc_shapley",

@@ -28,9 +28,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
+
+import numpy as np
 
 from .model import (
     GaussianLPM,
@@ -38,6 +41,7 @@ from .model import (
     LpmShapleyError,
     OutcomeKind,
     OutcomeSpec,
+    _parse_json_object,
     normalize,
 )
 from .engine import shapley_exact, two_feature_phis
@@ -300,16 +304,16 @@ def _cmd_grid(args) -> int:
     outcomes = _outcomes_from_args(args)
     x1s = _grid_values(args.x1_min, args.x1_max, args.steps)
     x2s = _grid_values(args.x2_min, args.x2_max, args.steps)
+    x1_col = np.repeat(x1s, len(x2s))
+    x2_col = np.tile(x2s, len(x1s))
+    s1, s2 = model.stddevs
     rows = []
     for spec in outcomes:
-        for x1 in x1s:
-            for x2 in x2s:
-                _, p1, _ = two_feature_phis(
-                    model.intercept, model.stddevs[0], model.stddevs[1], x1, x2, spec
-                )
-                rows.append(
-                    {"x1": x1, "x2": x2, "outcome": spec.kind.value, "phi1": float(p1)}
-                )
+        _, p1, _ = two_feature_phis(model.intercept, s1, s2, x1_col, x2_col, spec)
+        rows += [
+            {"x1": x1, "x2": x2, "outcome": spec.kind.value, "phi1": phi1}
+            for (x1, x2), phi1 in zip(itertools.product(x1s, x2s), p1.tolist())
+        ]
     _emit(
         args,
         ["x1", "x2", "outcome", "phi1"],
@@ -321,13 +325,7 @@ def _cmd_grid(args) -> int:
 
 
 def _study_config(args):
-    raw = _read_text(args.config)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"config file {args.config!r} must hold a JSON object")
+    data = _parse_json_object(_read_text(args.config))
     seed = _effective_seed(args, data)
     merged = dict(data)
     merged["seed"] = seed
@@ -341,29 +339,14 @@ def _study_config(args):
     return config, seed
 
 
-def _cmd_disagree_study(args) -> int:
+def _cmd_study(args) -> int:
     config, seed = _study_config(args)
     _echo_seed(seed)
-    table = run_disagreement_study(config, n_threads=args.threads)
+    table = args.run_study(config, n_threads=args.threads)
     rows = table.csv_rows()
     _emit(
         args,
-        ["expected_eta", "b1s1", "b2s2", "pair", "sign_pct", "top_pct"],
-        rows,
-        table.to_dict(),
-        {"seed": seed, "samples": config.n_samples},
-    )
-    return 0
-
-
-def _cmd_importance_study(args) -> int:
-    config, seed = _study_config(args)
-    _echo_seed(seed)
-    table = run_importance_study(config, n_threads=args.threads)
-    rows = table.csv_rows()
-    _emit(
-        args,
-        ["outcome", "I1", "I2", "relative", "excess"],
+        list(rows[0]),
         rows,
         table.to_dict(),
         {"seed": seed, "samples": config.n_samples},
@@ -372,13 +355,7 @@ def _cmd_importance_study(args) -> int:
 
 
 def _cmd_baseline_sweep(args) -> int:
-    raw = _read_text(args.config)
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"config file {args.config!r} must hold a JSON object")
+    data = _parse_json_object(_read_text(args.config))
     try:
         expected_eta = float(data["expected_eta"])
         variances = [float(v) for v in data["variances"]]
@@ -536,9 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_output(p)
     p.set_defaults(func=_cmd_grid)
 
-    for name, func, help_text in (
-        ("disagree-study", _cmd_disagree_study, "sign/top-feature disagreement table"),
-        ("importance-study", _cmd_importance_study, "global importance table"),
+    for name, run_study, help_text in (
+        ("disagree-study", run_disagreement_study, "sign/top-feature disagreement table"),
+        ("importance-study", run_importance_study, "global importance table"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="study config JSON file")
@@ -548,12 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta-star", type=float, help="override the config threshold")
         p.add_argument("--threads", type=int, default=None, help="worker threads (results identical for any value)")
         _add_common_output(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_study, run_study=run_study)
 
     p = sub.add_parser("baseline-sweep", help="baselines across a variance grid")
     p.add_argument("--config", required=True, help="sweep config JSON file")
-    p.add_argument("--seed", type=int, help="accepted for interface symmetry; unused")
-    p.add_argument("--samples", type=int, help="accepted for interface symmetry; unused")
     p.add_argument("--link", choices=("logit", "probit"), help="override the config link")
     p.add_argument("--eta-star", type=float, help="override the config threshold")
     _add_common_output(p)

@@ -32,9 +32,15 @@ from .model import (
     InvalidModelError,
     OutcomeKind,
     OutcomeSpec,
-    std_normal_cdf,
+    _expected_outcome,
 )
-from .engine import Explanation, shapley_two_feature, two_feature_phis
+from .engine import (
+    Explanation,
+    _require_normalized_pair,
+    baseline,
+    shapley_two_feature,
+    two_feature_phis,
+)
 
 __all__ = [
     "BaselineReport",
@@ -47,15 +53,6 @@ __all__ = [
     "verify_equal_importance",
     "zero_level_curve",
 ]
-
-
-def _require_normalized_pair(model: GaussianLPM) -> None:
-    if model.m != 2:
-        raise DimensionMismatchError("disagreement analytics need exactly 2 features")
-    if not model.is_normalized():
-        raise InvalidModelError(
-            "disagreement analytics expect a normalized model; call normalize first"
-        )
 
 
 @dataclass(frozen=True)
@@ -106,19 +103,14 @@ def baseline_report(
     see exactly which comparison flips in other regimes.
     """
     _require_normalized_pair(model)
-    lam = OutcomeSpec(OutcomeKind.PROBABILITY, outcome_link).lam
-    b0 = model.intercept
-    s1, s2 = model.stddevs
-    total_var = s1 * s1 + s2 * s2
-    phi0_eta = b0
-    phi0_eta_transformed = std_normal_cdf(b0 / math.sqrt(lam))
-    phi0_prob = std_normal_cdf(b0 / math.sqrt(lam + total_var))
-    if total_var > 0:
-        phi0_decision = std_normal_cdf((b0 - eta_star) / math.sqrt(total_var))
-    else:
-        phi0_decision = 1.0 if b0 >= eta_star else 0.0
+    probability = OutcomeSpec(OutcomeKind.PROBABILITY, outcome_link)
+    phi0_eta_transformed = float(_expected_outcome(model.intercept, 0.0, probability))
+    phi0_prob = baseline(model, probability)
+    phi0_decision = baseline(
+        model, OutcomeSpec(OutcomeKind.DECISION, outcome_link, eta_star=eta_star)
+    )
     return BaselineReport(
-        phi0_eta=phi0_eta,
+        phi0_eta=model.intercept,
         phi0_eta_transformed=phi0_eta_transformed,
         phi0_prob=phi0_prob,
         phi0_decision=phi0_decision,
@@ -255,8 +247,8 @@ def zero_level_curve(
 
     For each grid value, bisection finds where the feature's Shapley value
     changes sign as its own coordinate moves across the bracket. The bracket
-    is doubled as needed up to |x| <= 10 * max(sigma) + 10; a grid point with
-    no sign change inside the cap gets a None root. The decision outcome's
+    is widened as needed until it covers |x| <= 10 * max(sigma) + 10; a grid
+    point with no sign change inside it gets a None root. The decision outcome's
     attribution jumps at the decision boundary, so its "root" there is the
     sign-separating point rather than an actual zero.
     """
@@ -282,16 +274,17 @@ def zero_level_curve(
     roots = []
     for x_oth in x_other_grid:
         lo, hi = lo0, hi0
-        root = None
         while True:
             root = _bisect_sign_change(lambda t: phi_own(t, float(x_oth)), lo, hi, tol)
             if root is not None:
                 break
-            if lo <= -cap and hi >= cap:
+            # Push each end out by the span, clipped to the cap but never
+            # moved inward, so a bracket beyond the cap still reaches it.
+            span = hi - lo
+            wider = (min(lo, max(lo - span, -cap)), max(hi, min(hi + span, cap)))
+            if wider == (lo, hi):
                 break
-            half = (hi - lo)  # double the span, clipped to the cap
-            lo = max(lo - half, -cap)
-            hi = min(hi + half, cap)
+            lo, hi = wider
         roots.append(root)
     return CurveSet(
         outcome=outcome,

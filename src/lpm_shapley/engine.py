@@ -2,21 +2,12 @@
 
 Everything here is closed form. Conditioning on a subset S of features leaves
 eta Gaussian with known mean and variance, so each conditional expectation
-(the value function v(S)) is a single normal-CDF evaluation:
-
-    log-odds:     v(S) = mean_S
-    probability:  v(S) = Phi(mean_S / sqrt(lam + var_S))
-    decision:     v(S) = Phi((mean_S - eta_star) / sqrt(var_S)),
-                  an inclusive indicator when var_S = 0
+(the value function v(S)) is one evaluation of the model's expected-outcome
+kernel, which states the three formulas.
 
 ``shapley_exact`` enumerates all 2^m subsets with the exact combinatorial
 weights; ``shapley_two_feature`` evaluates the literal two-feature formulas
 and must agree with the enumeration to 1e-12, which the tests enforce.
-
-Division by a zero sigma only arises for the decision outcome; it resolves to
-the inclusive indicator so that value functions, predictions, and the fast
-path stay consistent on the boundary itself (the discontinuity set has
-measure zero but the tests do step on it).
 """
 
 from __future__ import annotations
@@ -26,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import (
     CapacityError,
@@ -36,16 +26,15 @@ from .model import (
     OutcomeKind,
     OutcomeSpec,
     _check_sample,
+    _expected_outcome,
     conditional_eta,
     predict,
 )
 
 __all__ = [
     "Explanation",
-    "SubsetValue",
     "MAX_EXACT_FEATURES",
     "baseline",
-    "eta_baseline_on_probability_scale",
     "shapley_exact",
     "shapley_two_feature",
     "value_function",
@@ -85,51 +74,10 @@ class Explanation:
         return json.dumps(self.to_dict())
 
 
-@dataclass(frozen=True)
-class SubsetValue:
-    """One subset's conditional expectation v(S)."""
-
-    subset: frozenset
-    value: float
-
-
-def _decision_cdf(num, sigma):
-    """Phi(num / sigma) with the inclusive-indicator convention at sigma=0."""
-    num = np.asarray(num, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.ndim == 0 and num.ndim == 0:
-        if sigma == 0.0:
-            return 1.0 if num >= 0.0 else 0.0
-        return float(ndtr(num / sigma))
-    num, sigma = np.broadcast_arrays(num, sigma)
-    out = np.where(sigma > 0.0, ndtr(np.divide(num, np.where(sigma > 0.0, sigma, 1.0))), 0.0)
-    zero = sigma == 0.0
-    if np.any(zero):
-        out = np.where(zero, (num >= 0.0).astype(np.float64), out)
-    return out
-
-
 def value_function(model: GaussianLPM, outcome: OutcomeSpec, subset, x) -> float:
     """Conditional expectation of the outcome given the subset's values."""
     law = conditional_eta(model, subset, x)
-    if outcome.kind is OutcomeKind.LOG_ODDS:
-        return law.mean
-    if outcome.kind is OutcomeKind.PROBABILITY:
-        return float(ndtr(law.mean / math.sqrt(outcome.lam + law.variance)))
-    if law.variance == 0.0:
-        return 1.0 if law.mean >= outcome.eta_star else 0.0
-    return float(ndtr((law.mean - outcome.eta_star) / math.sqrt(law.variance)))
-
-
-def all_subset_values(model: GaussianLPM, outcome: OutcomeSpec, x) -> list:
-    """v(S) for every subset; diagnostic helper, exponential in m."""
-    if model.m > 16:
-        raise CapacityError("subset listing supports at most 16 features")
-    out = []
-    for mask in range(1 << model.m):
-        subset = frozenset(i for i in range(model.m) if mask >> i & 1)
-        out.append(SubsetValue(subset=subset, value=value_function(model, outcome, subset, x)))
-    return out
+    return float(_expected_outcome(law.mean, law.variance, outcome))
 
 
 def _popcounts(m: int) -> np.ndarray:
@@ -140,12 +88,7 @@ def _popcounts(m: int) -> np.ndarray:
 
 
 def _mask_values(
-    b0: np.ndarray,
-    delta: np.ndarray,
-    var_terms: np.ndarray,
-    kind: OutcomeKind,
-    lam: float,
-    eta_star: float,
+    b0: np.ndarray, delta: np.ndarray, var_terms: np.ndarray, outcome: OutcomeSpec
 ) -> np.ndarray:
     """v(S) for every case (leading axis) and every subset mask.
 
@@ -168,26 +111,12 @@ def _mask_values(
         var = total_var[:, None] - var_terms @ bits.T
         # Conditioning can only shave variance; clip float dust.
         np.clip(var, 0.0, None, out=var)
-        if kind is OutcomeKind.LOG_ODDS:
-            values[:, start : start + masks.size] = mean
-        elif kind is OutcomeKind.PROBABILITY:
-            values[:, start : start + masks.size] = ndtr(mean / np.sqrt(lam + var))
-        else:
-            sd = np.sqrt(var)
-            ratio = np.divide(mean - eta_star, sd, out=np.zeros_like(mean), where=sd > 0)
-            values[:, start : start + masks.size] = np.where(
-                sd > 0, ndtr(ratio), (mean >= eta_star).astype(np.float64)
-            )
+        values[:, start : start + masks.size] = _expected_outcome(mean, var, outcome)
     return values
 
 
 def _enumerate_phis(
-    b0: np.ndarray,
-    delta: np.ndarray,
-    var_terms: np.ndarray,
-    kind: OutcomeKind,
-    lam: float,
-    eta_star: float,
+    b0: np.ndarray, delta: np.ndarray, var_terms: np.ndarray, outcome: OutcomeSpec
 ):
     """Exact Shapley values for a batch of cases, vectorized over the batch.
 
@@ -202,7 +131,7 @@ def _enumerate_phis(
     for k in range(m):
         weights[k] = 1.0 / (m * math.comb(m - 1, k))
     w_mask = weights[_popcounts(m)]
-    values = _mask_values(b0, delta, var_terms, kind, lam, eta_star)
+    values = _mask_values(b0, delta, var_terms, outcome)
     cube = values.reshape((n,) + (2,) * m)
     w_cube = w_mask.reshape((2,) * m)
     phis = np.empty((n, m), dtype=np.float64)
@@ -243,9 +172,7 @@ def shapley_exact(model: GaussianLPM, outcome: OutcomeSpec, x) -> Explanation:
             f"got m={model.m}. Use the sampling oracle (mc_shapley) instead."
         )
     b0, delta, var_terms = _model_case_arrays(model, arr)
-    base, phis = _enumerate_phis(
-        b0, delta, var_terms, outcome.kind, outcome.lam, outcome.eta_star
-    )
+    base, phis = _enumerate_phis(b0, delta, var_terms, outcome)
     return Explanation(
         outcome=outcome,
         x=tuple(float(v) for v in arr),
@@ -278,9 +205,7 @@ def shapley_exact_batch(model: GaussianLPM, outcome: OutcomeSpec, xs) -> np.ndar
     b0 = np.full(n, model.intercept + float(beta @ mu))
     delta = beta * (xs - mu)
     var_terms = np.broadcast_to((beta * sd) ** 2, (n, model.m))
-    base, phis = _enumerate_phis(
-        b0, delta, var_terms, outcome.kind, outcome.lam, outcome.eta_star
-    )
+    base, phis = _enumerate_phis(b0, delta, var_terms, outcome)
     return np.column_stack([base, phis])
 
 
@@ -307,35 +232,18 @@ def two_feature_phis(
     Array-friendly in x1/x2; this is the hot path under the Monte Carlo
     studies, so it stays free of per-sample Python objects.
     """
-    kind = outcome.kind
-    if kind is OutcomeKind.LOG_ODDS:
+    if outcome.kind is OutcomeKind.LOG_ODDS:
         x1 = np.asarray(x1, dtype=np.float64)
         x2 = np.asarray(x2, dtype=np.float64)
         zero = np.zeros_like(x1 + x2)
         return b0 + zero, x1 + zero, x2 + zero
-    if kind is OutcomeKind.PROBABILITY:
-        lam = outcome.lam
-        d_full = math.sqrt(lam)
-        d_given1 = math.sqrt(lam + s2 * s2)
-        d_given2 = math.sqrt(lam + s1 * s1)
-        d_none = math.sqrt(lam + s1 * s1 + s2 * s2)
-        v0 = ndtr(b0 / d_none)
-        v1 = ndtr((b0 + np.asarray(x1)) / d_given1)
-        v2 = ndtr((b0 + np.asarray(x2)) / d_given2)
-        v12 = ndtr((b0 + np.asarray(x1) + np.asarray(x2)) / d_full)
-        phi1 = 0.5 * ((v1 - v0) + (v12 - v2))
-        phi2 = 0.5 * ((v2 - v0) + (v12 - v1))
-        return v0 + np.zeros_like(phi1), phi1, phi2
-    eta_star = outcome.eta_star
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    w0 = _decision_cdf(b0 - eta_star, math.sqrt(s1 * s1 + s2 * s2))
-    w1 = _decision_cdf(b0 + x1 - eta_star, s2)
-    w2 = _decision_cdf(b0 + x2 - eta_star, s1)
-    full = (b0 + x1 + x2 >= eta_star).astype(np.float64)
-    phi1 = 0.5 * ((w1 - w0) + (full - w2))
-    phi2 = 0.5 * ((w2 - w0) + (full - w1))
-    return w0 + np.zeros_like(phi1), phi1, phi2
+    v0 = _expected_outcome(b0, s1 * s1 + s2 * s2, outcome)
+    v1 = _expected_outcome(b0 + x1, s2 * s2, outcome)
+    v2 = _expected_outcome(b0 + x2, s1 * s1, outcome)
+    v12 = _expected_outcome(b0 + x1 + x2, 0.0, outcome)
+    phi1 = 0.5 * ((v1 - v0) + (v12 - v2))
+    phi2 = 0.5 * ((v2 - v0) + (v12 - v1))
+    return v0 + np.zeros_like(phi1), phi1, phi2
 
 
 def shapley_two_feature(model: GaussianLPM, outcome: OutcomeSpec, x) -> Explanation:
@@ -363,15 +271,3 @@ def baseline(model: GaussianLPM, outcome: OutcomeSpec) -> float:
     """Unconditional expected outcome v(empty set), the reference point."""
     x0 = model.mean_array()
     return value_function(model, outcome, frozenset(), x0)
-
-
-def eta_baseline_on_probability_scale(model: GaussianLPM, outcome: OutcomeSpec) -> float:
-    """The log-odds baseline pushed through the link: Phi(phi0_eta / sqrt(lam)).
-
-    This is what the log-odds reference point *implies* on the probability
-    scale, used to compare baselines across outcomes.
-    """
-    beta = model.coef_array()
-    mu = model.mean_array()
-    phi0_eta = model.intercept + float(beta @ mu)
-    return float(ndtr(phi0_eta / math.sqrt(outcome.lam)))

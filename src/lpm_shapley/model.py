@@ -81,6 +81,11 @@ class Link(enum.Enum):
     LOGIT = "logit"
     PROBIT = "probit"
 
+    @property
+    def lam(self) -> float:
+        """Link scaling: 1 for probit, 8/pi for the logit approximation."""
+        return 1.0 if self is Link.PROBIT else LOGIT_LAMBDA
+
 
 @dataclass(frozen=True)
 class OutcomeSpec:
@@ -106,7 +111,7 @@ class OutcomeSpec:
     @property
     def lam(self) -> float:
         """Link scaling: 1 for probit, 8/pi for the logit approximation."""
-        return 1.0 if self.link is Link.PROBIT else LOGIT_LAMBDA
+        return self.link.lam
 
     def to_dict(self) -> dict:
         return {
@@ -294,12 +299,41 @@ def predict(model: GaussianLPM, outcome: OutcomeSpec, x) -> float:
 
     Decision is inclusive at the threshold: eta == eta_star predicts 1.
     """
-    e = eta(model, x)
-    if outcome.kind is OutcomeKind.LOG_ODDS:
-        return e
-    if outcome.kind is OutcomeKind.PROBABILITY:
-        return float(ndtr(e / math.sqrt(outcome.lam)))
-    return 1.0 if e >= outcome.eta_star else 0.0
+    return float(_expected_outcome(eta(model, x), 0.0, outcome))
+
+
+def _expected_outcome(mean, var, outcome: OutcomeSpec):
+    """E[outcome | eta ~ N(mean, var)], elementwise over mean and var.
+
+    This is the value function v(S) of every Shapley computation in the
+    package, with (mean, var) the law of eta given the features in S:
+
+        log-odds:     mean
+        probability:  Phi(mean / sqrt(lam + var))
+        decision:     Phi((mean - eta_star) / sqrt(var)),
+                      the inclusive indicator mean >= eta_star where var = 0
+
+    var = 0 gives the prediction itself. The indicator keeps value
+    functions, predictions and the two-feature path consistent on the
+    decision boundary (a measure-zero set that the tests do step on).
+    Scalar inputs are used as given, so a scalar call costs no array
+    conversion and matches the same point of an array call bit for bit.
+    """
+    kind = outcome.kind
+    if kind is OutcomeKind.LOG_ODDS:
+        return mean
+    if kind is OutcomeKind.PROBABILITY:
+        return ndtr(mean / np.sqrt(outcome.lam + var))
+    num = mean - outcome.eta_star
+    sd = np.sqrt(var)
+    positive = sd > 0.0
+    # Masking only where var mixes zero and positive entries keeps scalar
+    # calls cheap and spends no ndtr on an all-zero (indicator) block.
+    if positive.all():
+        return ndtr(num / sd)
+    if not positive.any():
+        return 1.0 * (num >= 0.0)
+    return np.where(positive, ndtr(num / np.where(positive, sd, 1.0)), num >= 0.0)
 
 
 @dataclass(frozen=True)

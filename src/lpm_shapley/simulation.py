@@ -28,7 +28,7 @@ from .model import (
     Link,
     OutcomeKind,
     OutcomeSpec,
-    std_normal_cdf,
+    _expected_outcome,
 )
 from .engine import two_feature_phis
 from .oracle import RngSpec, standard_normal
@@ -410,8 +410,9 @@ def baseline_sweep(expected_eta: float, variance_grid, link: Link = Link.LOGIT, 
     """
     if not math.isfinite(expected_eta):
         raise InvalidModelError("expected_eta must be finite")
-    lam = OutcomeSpec(OutcomeKind.PROBABILITY, link).lam
-    transformed = std_normal_cdf(expected_eta / math.sqrt(lam))
+    probability = OutcomeSpec(OutcomeKind.PROBABILITY, link)
+    decision = OutcomeSpec(OutcomeKind.DECISION, link, eta_star=eta_star)
+    transformed = float(_expected_outcome(expected_eta, 0.0, probability))
     rows = []
     for v in variance_grid:
         v = float(v)
@@ -421,11 +422,9 @@ def baseline_sweep(expected_eta: float, variance_grid, link: Link = Link.LOGIT, 
             {
                 "variance": v,
                 "phi0_eta": float(expected_eta),
-                "phi0_eta_transformed": float(transformed),
-                "phi0_prob": float(std_normal_cdf(expected_eta / math.sqrt(lam + v))),
-                "phi0_decision": float(
-                    std_normal_cdf((expected_eta - eta_star) / math.sqrt(v))
-                ),
+                "phi0_eta_transformed": transformed,
+                "phi0_prob": float(_expected_outcome(expected_eta, v, probability)),
+                "phi0_decision": float(_expected_outcome(expected_eta, v, decision)),
             }
         )
     return rows

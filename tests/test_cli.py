@@ -7,9 +7,14 @@ regardless of thread count.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lpm_shapley
 from lpm_shapley.cli import main
 
 MODEL = {
@@ -266,6 +271,29 @@ class TestCurves:
             ],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("bracket", [("-100", "-99"), ("-31", "-30.5")])
+    def test_bracket_beyond_cap_still_finds_root(self, bracket):
+        """A user bracket outside [-cap, cap] (cap = 30 for this model) only
+        grows toward the cap, so the log-odds zero of phi1 = x1, at 0, is
+        found. The run is a child process with a timeout because a bracket
+        that collapses onto the cap would widen forever."""
+        model = Path(__file__).resolve().parent.parent / "configs/paper/model_b0_1_s2_1.json"
+        argv = [
+            "curves", "--model", str(model), "--steps", "3", "--outcome", "log_odds",
+            f"--bracket-lo={bracket[0]}", f"--bracket-hi={bracket[1]}",
+        ]
+        src = str(Path(lpm_shapley.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        child = "import sys; from lpm_shapley.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in data_rows(proc.stdout)]
+        roots = [float(row[1]) for row in rows if row[3] == "zero_curve"]
+        assert len(roots) == 3
+        assert all(abs(r) <= 1e-10 for r in roots)
 
     def test_bad_feature_is_input_error(self, capsys, model_path):
         code, _, _ = run(

@@ -21,11 +21,10 @@ from lpm_shapley import (
     Link,
     OutcomeKind,
     OutcomeSpec,
-    all_subset_values,
     baseline,
+    baseline_report,
     conditional_eta,
     eta,
-    eta_baseline_on_probability_scale,
     predict,
     shapley_exact,
     shapley_exact_batch,
@@ -132,17 +131,6 @@ class TestValueFunction:
         spec = OutcomeSpec(OutcomeKind.DECISION, Link.LOGIT, eta_star=0.25)
         assert value_function(model, spec, (0, 1), (0.25, 0.0)) == 1.0
         assert value_function(model, spec, (0, 1), (0.25 - 1e-9, 0.0)) == 0.0
-
-    def test_all_subset_values_cover_power_set(self):
-        model = GaussianLPM(0.1, (1.0, -1.0), (0.0, 0.0), (1.0, 2.0))
-        spec = OutcomeSpec(OutcomeKind.PROBABILITY, Link.LOGIT)
-        x = (0.5, 0.5)
-        entries = all_subset_values(model, spec, x)
-        assert len(entries) == 4
-        seen = {tuple(sorted(e.subset)) for e in entries}
-        assert seen == {(), (0,), (1,), (0, 1)}
-        for e in entries:
-            assert_allclose(e.value, value_function(model, spec, e.subset, x), rtol=1e-14)
 
 
 class TestShapleyAxioms:
@@ -335,7 +323,7 @@ class TestBaselines:
             spec = OutcomeSpec(OutcomeKind.PROBABILITY, link)
             expected = std_normal_cdf(1.0 / math.sqrt(spec.lam))
             assert_allclose(
-                eta_baseline_on_probability_scale(model, spec), expected, rtol=1e-14
+                baseline_report(model, link).phi0_eta_transformed, expected, rtol=1e-14
             )
 
 

@@ -30,6 +30,7 @@ from lpm_shapley import (
     sigmoid_probit_approx,
     std_normal_cdf,
 )
+from lpm_shapley.model import _expected_outcome
 
 
 def _random_model(rng, m):
@@ -229,6 +230,43 @@ class TestEtaAndPredict:
         model = GaussianLPM(0.0, (1.0, 1.0), (0.0, 0.0), (1.0, 1.0))
         with pytest.raises(DimensionMismatchError):
             eta(model, (1.0,))
+
+
+_LOG_ODDS = OutcomeSpec(OutcomeKind.LOG_ODDS, Link.LOGIT)
+_PROB = OutcomeSpec(OutcomeKind.PROBABILITY, Link.LOGIT)
+_PROBIT = OutcomeSpec(OutcomeKind.PROBABILITY, Link.PROBIT)
+_DECISION = OutcomeSpec(OutcomeKind.DECISION, Link.LOGIT, eta_star=0.7)
+_MODEL = GaussianLPM(0.2, (1.0, -2.0), (0.0, 0.0), (1.0, 1.0))
+_X = (0.5, 0.1)  # eta = 0.5
+
+
+class TestExpectedOutcome:
+    """The one E[outcome | eta ~ N(mean, var)] kernel behind every value."""
+
+    @pytest.mark.parametrize(
+        "spec, mean, var, want",
+        [
+            # var = 0 is the prediction itself, for every outcome
+            (_LOG_ODDS, 0.5, 0.0, predict(_MODEL, _LOG_ODDS, _X)),
+            (_PROB, 0.5, 0.0, predict(_MODEL, _PROB, _X)),
+            (_PROBIT, 0.5, 0.0, predict(_MODEL, _PROBIT, _X)),
+            (_DECISION, 0.5, 0.0, predict(_MODEL, _DECISION, _X)),
+            # the decision indicator is inclusive: mean == eta_star gives 1
+            (_DECISION, 0.7, 0.0, 1.0),
+            # var > 0: the closed forms
+            (_PROB, -0.4, 2.5, std_normal_cdf(-0.4 / math.sqrt(LOGIT_LAMBDA + 2.5))),
+            (_DECISION, -0.4, 2.5, std_normal_cdf((-0.4 - 0.7) / math.sqrt(2.5))),
+        ],
+    )
+    def test_contract(self, spec, mean, var, want):
+        """Each case holds for a scalar call, and the scalar call is bit-identical
+        to the same point inside an array call mixing zero and positive var."""
+        scalar = _expected_outcome(mean, var, spec)
+        assert scalar == want
+        means = np.array([1.3, mean, -2.0])
+        variances = np.array([0.0, var, 4.0])
+        assert _expected_outcome(means, variances, spec)[1] == scalar
+        assert _expected_outcome(means, var, spec)[1] == scalar
 
 
 class TestConditionalEta:
