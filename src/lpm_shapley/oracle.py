@@ -4,8 +4,8 @@ Nothing in this module trusts the engine's algebra. Conditional expectations
 are estimated by actually sampling the unknown features; Shapley values are
 estimated by averaging marginal contributions over uniformly random feature
 permutations; and the exact-sigmoid expectation (which has no closed form)
-is computed by Gauss-Hermite quadrature to quantify the probit
-approximation's gap.
+is computed by Gauss-Hermite quadrature, or above variance 9 by inverting a
+characteristic function, to quantify the probit approximation's gap.
 
 Reproducibility contract: every estimate is a pure function of its RngSpec.
 Uniform words come straight from the Philox counter stream and become
@@ -190,13 +190,17 @@ def mc_shapley(
 
 
 def gauss_hermite_expect_sigmoid(mean: float, variance: float, order: int = 200) -> float:
-    """E[sigmoid(Z)] for Z ~ N(mean, variance) by Gauss-Hermite quadrature.
+    """E[sigmoid(Z)] for Z ~ N(mean, variance), verified to 1e-10.
 
-    ``order`` caps the quadrature order. Evaluation climbs a doubling ladder
-    of orders starting at 20 and must see successive results agree to 1e-10
-    before returning; otherwise a ConvergenceError reports the last gap.
-    This is the ground truth against which the probit approximation's
-    Phi(mean / sqrt(8/pi + variance)) is compared.
+    Up to variance 9 this is Gauss-Hermite quadrature: ``order`` caps the
+    quadrature order, and evaluation climbs a doubling ladder of orders
+    starting at 20 that must see successive results agree to 1e-10 before
+    returning; otherwise a ConvergenceError reports the last gap. Above
+    variance 9 the sigmoid saturates at the nodes, so every order returns the
+    same wrong value; there the characteristic-function form below is used
+    (``order`` still has to lie in [20, 200]). This is the ground truth
+    against which the probit approximation's Phi(mean / sqrt(8/pi +
+    variance)) is compared.
     """
     if not 20 <= order <= 200:
         raise ValueError(f"order must lie in [20, 200], got {order}")
@@ -206,6 +210,15 @@ def gauss_hermite_expect_sigmoid(mean: float, variance: float, order: int = 200)
         raise ValueError("mean and variance must be finite")
     if variance == 0.0:
         return float(expit(mean))
+    if variance > 9.0:
+        coarse = _expect_sigmoid_cf(mean, variance, 1)
+        fine = _expect_sigmoid_cf(mean, variance, 2)
+        if abs(fine - coarse) > 1e-10:
+            raise ConvergenceError(
+                f"characteristic-function integral did not converge to 1e-10; "
+                f"step h and h/2 differ by {abs(fine - coarse):.3e}"
+            )
+        return fine
     ladder = []
     o = 20
     while o < order:
@@ -232,3 +245,32 @@ def gauss_hermite_expect_sigmoid(mean: float, variance: float, order: int = 200)
         f"Gauss-Hermite ladder did not converge to 1e-10 by order {order}; "
         f"last gap {last_gap:.3e}"
     )
+
+
+# Most nodes the characteristic-function integral may use before giving up.
+_CF_MAX_NODES = 1 << 24
+
+
+def _expect_sigmoid_cf(mean: float, variance: float, refine: int) -> float:
+    """E[sigmoid(Z)] by Gil-Pelaez inversion, midpoint step pi / (refine * width).
+
+    sigmoid(z) = P(L <= z) for a standard logistic L, whose characteristic
+    function is pi u / sinh(pi u), so E[sigmoid(Z)] = P(Z - L >= 0) =
+    1/2 + (1/pi) int_0^inf sin(u mean) e^{-variance u^2 / 2} pi / sinh(pi u) du.
+    The midpoint rule with step pi / width integrates sign(Z - L) exactly
+    while |Z - L| < 2 width; with width = |mean| + 12 sd(Z - L), the mass
+    beyond that is below 1e-17 for variance above 9 (the logistic tail past
+    12 sd). The sum stops where the integrand's decay passes e^-46.
+    """
+    width = abs(mean) + 12.0 * math.sqrt(variance + math.pi**2 / 3.0)
+    h = math.pi / (refine * width)
+    u_max = (math.sqrt(math.pi**2 + 92.0 * variance) - math.pi) / variance
+    n = math.ceil(u_max / h)
+    if n > _CF_MAX_NODES:
+        raise ConvergenceError(
+            f"characteristic-function integral needs {n} nodes at mean {mean} "
+            f"and variance {variance}; the cap is {_CF_MAX_NODES}"
+        )
+    u = (np.arange(n) + 0.5) * h
+    terms = np.sin(mean * u) * np.exp(-0.5 * variance * u * u) / np.sinh(math.pi * u)
+    return 0.5 + h * math.fsum(terms)

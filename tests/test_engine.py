@@ -3,6 +3,7 @@
 The enumeration engine is checked against hand-computable closed forms, the
 Shapley axioms (efficiency, symmetry, dummy), and an independent
 per-subset reference built here from the raw weighted-marginal definition.
+The characteristic-function path is checked against the enumeration.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lpm_shapley import engine
 from lpm_shapley import (
     CapacityError,
     DimensionMismatchError,
@@ -345,3 +347,142 @@ class TestExplanationContract:
             prediction=0.875,
         )
         assert expl.residual() == 0.0
+
+
+class TestExactPaths:
+    """The kernel's three paths: log-odds shortcut, enumeration, CF inversion."""
+
+    SPECS = [
+        OutcomeSpec(kind, link, eta_star=eta_star)
+        for kind in (OutcomeKind.PROBABILITY, OutcomeKind.DECISION)
+        for link in (Link.LOGIT, Link.PROBIT)
+        for eta_star in (0.0, 0.3)
+    ]
+
+    @staticmethod
+    def _case(rng, m, scale, intercept):
+        delta = rng.normal(0, scale, m) * rng.normal(0, 1.5, m)
+        t = (rng.uniform(0.3, 1.5, m) * scale) ** 2
+        return np.array([intercept]), delta[None], t[None]
+
+    @staticmethod
+    def _assert_cf_matches_enumeration(b0, delta, t, spec):
+        _, want = engine._enumerate_phis(b0, delta, t, spec)
+        got = engine._cf_phis(float(b0[0]), delta[0], t[0], spec, math.inf)
+        assert_allclose(got, want[0], rtol=0, atol=1e-12)
+        return got
+
+    def test_cf_path_matches_enumeration(self):
+        """m = 2..16 runs every (scale, intercept) pair once, each under both
+        outcomes, both links and two thresholds; odd m carry a zero
+        coefficient (delta = t = 0)."""
+        rng = np.random.default_rng(20)
+        scales = (0.02, 1.0, 200.0)
+        intercepts = (8.0, -8.0, 20.0, -20.0, None)
+        for m in range(2, 17):
+            scale = scales[(m - 2) % 3]
+            intercept = intercepts[(m - 2) // 3]
+            if intercept is None:
+                intercept = float(rng.normal(0, 2 * scale))
+            b0, delta, t = self._case(rng, m, scale, intercept)
+            if m % 2:
+                delta[0, 1] = t[0, 1] = 0.0
+            for spec in self.SPECS:
+                got = self._assert_cf_matches_enumeration(b0, delta, t, spec)
+                if m % 2:
+                    assert got[1] == 0.0
+
+    def test_cf_path_on_the_decision_boundary(self):
+        """b0 + sum(delta) == eta_star exactly (dyadic inputs): the full
+        subset's value is the inclusive indicator, 1."""
+        delta = np.array([[0.5, -0.25, -0.75, 0.0, 0.125, 0.125]])
+        t = np.array([[1.0, 0.25, 4.0, 0.0, 0.5, 2.0]])
+        for eta_star in (0.0, 0.375):
+            spec = OutcomeSpec(OutcomeKind.DECISION, Link.LOGIT, eta_star=eta_star)
+            b0 = np.array([0.25 + eta_star])
+            got = self._assert_cf_matches_enumeration(b0, delta, t, spec)
+            base = engine._enumerate_phis(b0, delta, t, spec)[0][0]
+            assert_allclose(base + got.sum(), 1.0, rtol=0, atol=1e-12)
+
+    def test_wide_model_takes_the_cf_path(self):
+        rng = np.random.default_rng(21)
+        b0, delta, t = self._case(rng, 20, 1.0, 0.5)
+        for spec in (self.SPECS[0], self.SPECS[-1]):
+            want_base, want = engine._enumerate_phis(b0, delta, t, spec)
+            base, phis = engine._exact_phis(b0, delta, t, spec)
+            assert np.array_equal(
+                phis[0], engine._cf_phis(float(b0[0]), delta[0], t[0], spec, math.inf)
+            )
+            assert_allclose(phis, want, rtol=0, atol=1e-12)
+            assert base[0] == want_base[0]
+
+    def test_zero_sd_decision_feature_is_enumerated(self):
+        """A zero-variance feature with x != mu is an undamped atom of the
+        decision value's law: the CF path declines and enumeration serves.
+        The probability outcome's link noise damps it, so the CF path holds."""
+        m = 16
+        rng = np.random.default_rng(22)
+        sds = rng.uniform(0.5, 2.0, m)
+        sds[3] = 0.0
+        model = GaussianLPM(0.3, tuple(rng.normal(0, 1.5, m)), (0.0,) * m, tuple(sds))
+        x = rng.normal(0, 1.0, m)
+        spec = OutcomeSpec(OutcomeKind.DECISION, Link.LOGIT, eta_star=0.3)
+        b0, delta, t = engine._model_case_arrays(model, x)
+        assert engine._cf_phis(float(b0[0]), delta[0], t[0], spec, math.inf) is None
+        base, phis = engine._enumerate_phis(b0, delta, t, spec)
+        expl = shapley_exact(model, spec, x)
+        assert expl.baseline == base[0]
+        assert expl.phis == tuple(phis[0])
+        self._assert_cf_matches_enumeration(b0, delta, t, self.SPECS[0])
+
+    def test_batch_rows_equal_single_calls_bit_for_bit(self):
+        """At m >= 15 batch rows go through the single-case kernel, whichever
+        path each row takes (row 0 has x = mu on the zero-sd feature, so its
+        CF path is open; the others enumerate)."""
+        m = 15
+        rng = np.random.default_rng(23)
+        sds = rng.uniform(0.5, 2.0, m)
+        sds[0] = 0.0
+        model = GaussianLPM(-0.2, tuple(rng.normal(0, 1.5, m)), (0.0,) * m, tuple(sds))
+        xs = rng.normal(0, 1.0, (3, m))
+        xs[0, 0] = 0.0
+        for spec in (ALL_SPECS[1], ALL_SPECS[4]):
+            batch = shapley_exact_batch(model, spec, xs)
+            for row, x in zip(batch, xs):
+                expl = shapley_exact(model, spec, x)
+                assert row[0] == expl.baseline
+                assert tuple(row[1:]) == expl.phis
+
+    def test_log_odds_is_delta_at_any_m(self):
+        """On a dyadic model every step is exact, so phi = delta and the
+        efficiency residual is 0 (the m = 24 enumeration missed by 1e-12)."""
+        m = 24
+        beta = np.tile([1.0, -0.5, 0.25, -2.0], m // 4)
+        mu = np.tile([0.5, -1.0, 0.0, 0.25], m // 4)
+        x = np.tile([1.5, 0.25, -0.75, 0.5], m // 4)
+        model = GaussianLPM(0.75, tuple(beta), tuple(mu), (1.0,) * m)
+        expl = shapley_exact(model, ALL_SPECS[0], x)
+        assert expl.phis == tuple(beta * (x - mu))
+        assert expl.baseline == 0.75 + float(beta @ mu)
+        assert expl.residual() == 0.0
+
+    def test_wide_call_memory_and_time(self, child_peak_rss):
+        """One m = 24 call per outcome in a fresh process: under 300 MB of
+        peak RSS and 5 s (full enumeration needs about 2.3 GB and 6 s a call)."""
+        code = (
+            "import time\n"
+            "import numpy as np\n"
+            "from lpm_shapley import GaussianLPM, Link, OutcomeKind, OutcomeSpec, shapley_exact\n"
+            "rng = np.random.default_rng(24)\n"
+            "m = 24\n"
+            "beta = rng.choice((-1.0, 1.0), m) * rng.uniform(0.5, 1.5, m)\n"
+            "model = GaussianLPM(0.5, tuple(beta), (0.0,) * m, tuple(np.linspace(0.5, 2.0, m)))\n"
+            "x = rng.normal(0.0, 1.0, m)\n"
+            "start = time.perf_counter()\n"
+            "for kind in OutcomeKind:\n"
+            "    assert abs(shapley_exact(model, OutcomeSpec(kind), x).residual()) <= 1e-10\n"
+            "print(time.perf_counter() - start)\n"
+        )
+        rss_mb, out = child_peak_rss(code, timeout=120)
+        assert rss_mb < 300.0
+        assert float(out) < 5.0

@@ -288,6 +288,37 @@ class TestGaussHermite:
         assert_allclose(approx, 0.6520412832389009, atol=1e-12)
         assert abs(true_value - approx) < 5e-3
 
+    def test_matches_mpmath_at_every_scale(self):
+        """Within 1e-10 of a 20-digit reference (or ConvergenceError) from
+        sd 0.01 to 200. The ladder alone returned 0.5 at (1, sd 200) because
+        the sigmoid saturates at every node. The reference integrates over
+        z = (eta - mean) / sd, split at 0 and at the sigmoid's kink, and
+        takes means 0 and -3 from E[sigmoid(Z)](-mean) = 1 - E(mean)."""
+        mp = pytest.importorskip("mpmath")
+
+        def reference(mean, sd):
+            mean, sd = mp.mpf(mean), mp.mpf(sd)
+
+            def integrand(z):
+                return mp.npdf(z) / (1 + mp.exp(-(mean + sd * z)))
+
+            with mp.workdps(20):
+                return float(mp.quad(integrand, [-mp.inf, -mean / sd, 0, mp.inf]))
+
+        for sd in (1e-2, 1.0, 5.0, 10.0, 50.0, 100.0, 200.0):
+            ref = {mean: reference(mean, sd) for mean in (1.0, 3.0)}
+            ref[0.0] = 0.5
+            ref[-3.0] = 1.0 - ref[3.0]
+            for mean, want in ref.items():
+                try:
+                    got = gauss_hermite_expect_sigmoid(mean, sd * sd)
+                except ConvergenceError:
+                    # Allowed by the contract, but not where the
+                    # characteristic-function form serves (variance > 9).
+                    assert sd * sd <= 9.0, (mean, sd)
+                    continue
+                assert abs(got - want) <= 1e-10, (mean, sd, got, want)
+
     def test_zero_variance_is_plain_sigmoid(self):
         assert gauss_hermite_expect_sigmoid(0.3, 0.0) == pytest.approx(
             float(sigmoid(0.3)), abs=0
