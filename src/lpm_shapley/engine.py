@@ -10,8 +10,9 @@ exact paths:
 
 - log-odds: v(S) is linear in the revealed deltas, so phi_i = delta_i and the
   baseline is the centred intercept, at every m;
-- enumeration: all 2^m subset values with the combinatorial weights. It is
-  the path below 15 features, and above that wherever it is the cheaper one;
+- enumeration: the 2^m subset values, streamed in chunks of masks, each
+  chunk adding its weighted share to the phis, so memory stays bounded. It
+  is the path below 15 features, and above that wherever it is cheaper;
 - characteristic function (probability and decision, m >= 15): Owen's
   multilinear extension turns phi_i into a q-integral of the expected
   marginal gain when every other feature is revealed with probability q.
@@ -54,9 +55,9 @@ __all__ = [
     "value_function",
 ]
 
-# Largest m served exactly. Enumeration (2^m values) still serves some cases at
-# any m, such as decision models with a zero-variance feature, and its value
-# table alone is 256 MB at m = 25.
+# Largest m served exactly. Enumeration still serves some cases at any m, such
+# as decision models with a zero-variance feature; it streams its 2^m subset
+# values in bounded memory, but its time doubles with each feature.
 MAX_EXACT_FEATURES = 25
 
 
@@ -96,80 +97,55 @@ def value_function(model: GaussianLPM, outcome: OutcomeSpec, subset, x) -> float
     return float(_expected_outcome(law.mean, law.variance, outcome))
 
 
-def _popcounts(m: int) -> np.ndarray:
-    pc = np.zeros(1, dtype=np.uint8)
-    for _ in range(m):
-        pc = np.concatenate([pc, pc + 1])
-    return pc
+def _enumerate_phis(b0, eta, delta, var_terms, outcome: OutcomeSpec):
+    """Exact Shapley values for a batch of cases, vectorized over the batch.
 
+    Returns (baseline, phis) with shapes (n,) and (n, m). delta[i] =
+    beta[i]*(x[i]-mu[i]) is what revealing feature i adds to the mean of eta,
+    var_terms[i] = (beta[i]*sigma[i])^2 the variance it stops hiding, and eta
+    is the full mask's mean. The 2^m masks (bit i = feature i) are streamed
+    in chunks, each adding its share of
 
-def _mask_values(
-    b0: np.ndarray, delta: np.ndarray, var_terms: np.ndarray, outcome: OutcomeSpec
-) -> np.ndarray:
-    """v(S) for every case (leading axis) and every subset mask.
+        phi_i = sum_T v(T) c_i(T),  c_i(T) = w(|T|-1) if i in T else -w(|T|),
 
-    delta[i] = beta[i]*(x[i]-mu[i]) is what conditioning on feature i adds to
-    the mean; var_terms[i] = (beta[i]*sigma[i])^2 is what it removes from the
-    variance. Masks are enumerated in natural order, bit i = feature i.
+    with w(k) = k! (m-k-1)! / m! and w(m) = 0, so no value table is kept.
+    Since sum_T c_i(T) = 0, v is taken relative to the baseline v(empty set),
+    which keeps small attributions accurate.
     """
     n, m = delta.shape
     n_masks = 1 << m
-    base_mean = b0 + 0.0
-    total_var = var_terms.sum(axis=1)
-    values = np.empty((n, n_masks), dtype=np.float64)
-    # Keep the (n, chunk) work arrays and the (chunk, m) bit matrix around
-    # 32 MB each.
-    chunk = max(1, min(n_masks, (1 << 22) // max(n, m)))
+    # w[k] = 1 / (m * C(m-1, k)); w[m] = 0 also serves as w[-1] for T = empty.
+    w = np.array([1.0 / (m * math.comb(m - 1, k)) for k in range(m)] + [0.0])
+    base = np.asarray(_expected_outcome(b0, var_terms.sum(axis=1), outcome))
+    phis = np.zeros((n, m), dtype=np.float64)
+    # Keep the (n, chunk) work arrays and the (chunk, m) bit matrix near 8 MB.
+    chunk = max(1, min(n_masks, (1 << 20) // max(n, m)))
     bits_idx = np.arange(m, dtype=np.uint32)
+    ones = np.ones(m, dtype=np.float64)
     for start in range(0, n_masks, chunk):
         masks = np.arange(start, min(start + chunk, n_masks), dtype=np.uint32)
         bits = ((masks[:, None] >> bits_idx) & 1).astype(np.float64)
-        mean = base_mean[:, None] + delta @ bits.T
-        var = total_var[:, None] - var_terms @ bits.T
-        # Conditioning can only shave variance; clip float dust.
-        np.clip(var, 0.0, None, out=var)
-        values[:, start : start + masks.size] = _expected_outcome(mean, var, outcome)
-    return values
+        mean = b0[:, None] + delta @ bits.T
+        if masks[-1] == n_masks - 1:
+            mean[:, -1] = eta
+        # Summing the hidden variances leaves exactly 0 where nothing is hidden.
+        v = _expected_outcome(mean, var_terms @ (1.0 - bits).T, outcome) - base[:, None]
+        size = (bits @ ones).astype(np.intp)
+        w_out = w[size]
+        phis += (v * (w[size - 1] + w_out)) @ bits - (v @ w_out)[:, None]
+    # Null players: the weighted sum leaves rounding residue, not 0.
+    phis[(delta == 0.0) & (var_terms == 0.0)] = 0.0
+    return base, phis
 
 
-def _enumerate_phis(
-    b0: np.ndarray, delta: np.ndarray, var_terms: np.ndarray, outcome: OutcomeSpec
-):
-    """Exact Shapley values for a batch of cases, vectorized over the batch.
-
-    Returns (baseline, phis) with shapes (n,) and (n, m). The full value
-    table over all 2^m masks is materialized, then each phi_i is a weighted
-    contraction of the table along feature i's bit axis.
-    """
-    n, m = delta.shape
-    # weights[k] = k! (m-k-1)! / m! = 1 / (m * C(m-1, k)), exact integers
-    # under the hood; the k = m slot is never consumed (S excludes i).
-    weights = np.zeros(m + 1, dtype=np.float64)
-    for k in range(m):
-        weights[k] = 1.0 / (m * math.comb(m - 1, k))
-    w_mask = weights[_popcounts(m)]
-    values = _mask_values(b0, delta, var_terms, outcome)
-    cube = values.reshape((n,) + (2,) * m)
-    w_cube = w_mask.reshape((2,) * m)
-    phis = np.empty((n, m), dtype=np.float64)
-    for i in range(m):
-        axis = m - i  # bit i of the mask, offset by the batch axis
-        v0 = np.take(cube, 0, axis=axis)
-        v1 = np.take(cube, 1, axis=axis)
-        w0 = np.take(w_cube, 0, axis=axis - 1)
-        flat_w = w0.reshape(-1)
-        diff = (v1 - v0).reshape(n, -1)
-        phis[:, i] = diff @ flat_w
-    return values[:, 0], phis
-
-
-# Enumeration serves every case below this many features: single calls cross
-# over near m = 13 to 15, and below 15 the outputs stay those of enumeration.
+# Enumeration serves every case below this many features: single calls on the
+# perfbench random models cross over at m = 12 to 13, and below 15 the outputs
+# stay those of enumeration.
 _CF_MIN_FEATURES = 15
 # Seconds per (q node, u node, feature) element of the CF path over seconds per
-# (mask, feature) element of the enumeration. Median single calls on the
-# perfbench random models, m = 12 to 20, both outcomes, numpy 2.4 on a 2-core
-# x86-64 host: 25 to 55 ns against 7.5 to 11 ns.
+# (mask, feature) element of the streamed enumeration. Median single calls on
+# the perfbench random models, m = 12 to 18, both outcomes, numpy 2.4 on a
+# 2-core x86-64 host: 24 to 43 ns against 5 to 11 ns, ratios 2.3 to 5.7.
 _CF_COST_RATIO = 4.0
 # The u integral stops where its Gaussian damping falls below e^-46.
 _CF_LOG_CUTOFF = 46.0
@@ -177,7 +153,7 @@ _CF_LOG_CUTOFF = 46.0
 _CF_BLOCK = 1 << 17
 
 
-def _cf_phis(b0: float, delta: np.ndarray, t: np.ndarray, outcome: OutcomeSpec, budget):
+def _cf_phis(b0: float, eta: float, delta, t, outcome: OutcomeSpec, budget):
     """Shapley values of one case by the multilinear extension, or None.
 
     phi_i = int_0^1 E_{S ~ Bern(q)}[v(S + i) - v(S)] dq; the integrand is a
@@ -193,9 +169,10 @@ def _cf_phis(b0: float, delta: np.ndarray, t: np.ndarray, outcome: OutcomeSpec, 
     with the leave-one-out products built as prefix x suffix products.
     Features with delta = t = 0 are null players (phi = 0) and are dropped.
 
-    The full-subset term q^{m-1} e^{iu(c + sum delta)} e^{-lam u^2/2} is the
-    one the features leave undamped. It is subtracted node by node and its
-    exact value v(N) - 1/2 (weight 1/m after the q integral) added back,
+    The full-subset term q^{m-1} e^{iu(eta - threshold)} e^{-lam u^2/2} is
+    the one the features leave undamped (eta = b0 + sum delta, passed as the
+    prediction computes it). It is subtracted node by node and its exact
+    value v(N) - 1/2 (weight 1/m after the q integral) added back,
     which also gives the decision outcome's inclusive indicator on the
     boundary. Every other term is damped by at least lam + min t, which
     fixes where the u integral stops. eta - threshold lies within
@@ -218,7 +195,6 @@ def _cf_phis(b0: float, delta: np.ndarray, t: np.ndarray, outcome: OutcomeSpec, 
     if floor <= 0.0:
         return None
     c = b0 - threshold
-    full_mean = b0 + float(delta.sum())
     width = abs(c) + float(np.abs(d).sum()) + 12.0 * math.sqrt(lam + float(tv.sum()))
     h = math.pi / width
     n_u = math.ceil(math.sqrt(2.0 * _CF_LOG_CUTOFF / floor) / h)
@@ -235,7 +211,7 @@ def _cf_phis(b0: float, delta: np.ndarray, t: np.ndarray, outcome: OutcomeSpec, 
         revealed = np.exp(1j * d[:, None] * u)
         hidden = np.exp(-0.5 * tv[:, None] * (u * u))
         gain = (np.exp(1j * c * u) * damp) * (revealed - hidden)
-        atom = float((np.sin((full_mean - threshold) * u) * damp).sum())
+        atom = float((np.sin((eta - threshold) * u) * damp).sum())
         prefix = np.ones((m + 1, u.size), dtype=np.complex128)
         suffix = np.ones((m + 1, u.size), dtype=np.complex128)
         for qn, wn in zip(q, wq):
@@ -245,16 +221,17 @@ def _cf_phis(b0: float, delta: np.ndarray, t: np.ndarray, outcome: OutcomeSpec, 
             # prefix[i] = prod_{j < i} f_j; suffix[m-1-i] = prod_{j > i} f_j.
             leave_out = prefix[:m] * suffix[m - 1 :: -1]
             acc += wn * ((leave_out * gain).imag.sum(axis=1) - qn ** (m - 1) * atom)
-    v_full = float(_expected_outcome(full_mean, 0.0, outcome))
+    v_full = float(_expected_outcome(eta, 0.0, outcome))
     phis[active] = acc * (h / math.pi) + (v_full - 0.5) / m
     return phis
 
 
-def _exact_phis(
-    b0: np.ndarray, delta: np.ndarray, var_terms: np.ndarray, outcome: OutcomeSpec
-):
+def _exact_phis(b0, eta, delta, var_terms, outcome: OutcomeSpec):
     """Exact (baseline, phis) for a batch of cases by the cheapest exact path.
 
+    eta is each case's linear index as ``predict`` computes it; v(N) is taken
+    from it, so efficiency holds against the prediction even where b0 +
+    sum(delta) rounds to the other side of the decision threshold.
     Log-odds is linear, so phi = delta at every m. Below _CF_MIN_FEATURES the
     batch is enumerated in one go. From there on each case takes the CF path
     unless its cost exceeds that of 2^m subset values, so a batch row always
@@ -264,17 +241,16 @@ def _exact_phis(
         return b0 + 0.0, delta + 0.0
     n, m = delta.shape
     if m < _CF_MIN_FEATURES:
-        return _enumerate_phis(b0, delta, var_terms, outcome)
-    base = np.asarray(
-        _expected_outcome(b0 + 0.0, var_terms.sum(axis=1), outcome), dtype=np.float64
-    )
+        return _enumerate_phis(b0, eta, delta, var_terms, outcome)
+    base = np.asarray(_expected_outcome(b0, var_terms.sum(axis=1), outcome))
     phis = np.empty((n, m), dtype=np.float64)
     for r in range(n):
-        row = _cf_phis(float(b0[r]), delta[r], var_terms[r], outcome, (1 << m) * m)
+        row = _cf_phis(
+            float(b0[r]), float(eta[r]), delta[r], var_terms[r], outcome, (1 << m) * m
+        )
         if row is None:
-            row = _enumerate_phis(
-                b0[r : r + 1], delta[r : r + 1], var_terms[r : r + 1], outcome
-            )[1][0]
+            one = slice(r, r + 1)
+            row = _enumerate_phis(b0[one], eta[one], delta[one], var_terms[one], outcome)[1][0]
         phis[r] = row
     return base, phis
 
@@ -290,28 +266,31 @@ def _model_case_arrays(model: GaussianLPM, x: np.ndarray):
 
 
 def shapley_exact(model: GaussianLPM, outcome: OutcomeSpec, x) -> Explanation:
-    """Exact Shapley attribution by full subset enumeration.
+    """Exact Shapley attribution, by the cheapest exact path for the case.
 
     phi_i = sum over subsets S not containing i of
             |S|! (m-|S|-1)! / m!  *  (v(S + i) - v(S)),
-    with the baseline phi_0 = v(empty set). Capacity is capped at
+    with the baseline phi_0 = v(empty set): streamed subset enumeration
+    below 15 features, polynomial-time CF inversion from there on wherever
+    it is cheaper, and phi = delta for log-odds. Capacity is capped at
     MAX_EXACT_FEATURES features; beyond that, use the sampling oracle
     (``lpm_shapley.oracle.mc_shapley``).
     """
     arr = _check_sample(model, x)
     if model.m > MAX_EXACT_FEATURES:
         raise CapacityError(
-            f"exact enumeration supports m <= {MAX_EXACT_FEATURES}; "
+            f"exact Shapley values support m <= {MAX_EXACT_FEATURES}; "
             f"got m={model.m}. Use the sampling oracle (mc_shapley) instead."
         )
     b0, delta, var_terms = _model_case_arrays(model, arr)
-    base, phis = _exact_phis(b0, delta, var_terms, outcome)
+    eta = np.array([model.intercept + arr @ model.coef_array()])  # as ``predict``
+    base, phis = _exact_phis(b0, eta, delta, var_terms, outcome)
     return Explanation(
         outcome=outcome,
         x=tuple(float(v) for v in arr),
         baseline=float(base[0]),
         phis=tuple(float(p) for p in phis[0]),
-        prediction=predict(model, outcome, arr),
+        prediction=float(_expected_outcome(eta[0], 0.0, outcome)),
     )
 
 
@@ -322,14 +301,14 @@ def shapley_exact_batch(model: GaussianLPM, outcome: OutcomeSpec, xs) -> np.ndar
     across rows), columns 1..m are the per-feature values. Used by studies
     and tests where per-sample Explanation objects would dominate runtime.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != model.m:
         raise DimensionMismatchError(
             f"samples must have shape (n, {model.m}); got {xs.shape}"
         )
     if model.m > MAX_EXACT_FEATURES:
         raise CapacityError(
-            f"exact enumeration supports m <= {MAX_EXACT_FEATURES}; got m={model.m}"
+            f"exact Shapley values support m <= {MAX_EXACT_FEATURES}; got m={model.m}"
         )
     beta = model.coef_array()
     mu = model.mean_array()
@@ -338,7 +317,11 @@ def shapley_exact_batch(model: GaussianLPM, outcome: OutcomeSpec, xs) -> np.ndar
     b0 = np.full(n, model.intercept + float(beta @ mu))
     delta = beta * (xs - mu)
     var_terms = np.broadcast_to((beta * sd) ** 2, (n, model.m))
-    base, phis = _exact_phis(b0, delta, var_terms, outcome)
+    # Row by row, to get the bits ``predict`` gets; log-odds never reads eta.
+    eta = b0
+    if outcome.kind is not OutcomeKind.LOG_ODDS:
+        eta = model.intercept + np.fromiter((x @ beta for x in xs), np.float64, n)
+    base, phis = _exact_phis(b0, eta, delta, var_terms, outcome)
     return np.column_stack([base, phis])
 
 

@@ -227,6 +227,22 @@ class TestBatchKernel:
                     assert_allclose(row[0], expl.baseline, atol=1e-13)
                     assert_allclose(row[1:], expl.phis, atol=1e-12)
 
+    def test_per_row_null_players_are_exactly_zero(self):
+        """A zero-sd feature is a null player in the rows where x = mu and an
+        atom in the others; the streamed weighted sum must still give its
+        null rows exactly 0 (unmasked, it leaves rounding residue)."""
+        rng = np.random.default_rng(25)
+        for m in range(3, 13):
+            model = _random_model(rng, m)
+            sds = list(model.stddevs)
+            sds[m // 2] = 0.0
+            model = GaussianLPM(model.intercept, model.coefficients, model.means, tuple(sds))
+            xs = rng.normal(0, 2, size=(8, m))
+            xs[::2, m // 2] = model.means[m // 2]
+            for spec in ALL_SPECS[1:]:
+                batch = shapley_exact_batch(model, spec, xs)
+                assert np.all(batch[::2, 1 + m // 2] == 0.0)
+
     def test_bad_shape_rejected(self):
         model = GaussianLPM(0.0, (1.0, 1.0), (0.0, 0.0), (1.0, 1.0))
         spec = OutcomeSpec(OutcomeKind.LOG_ODDS, Link.LOGIT)
@@ -291,6 +307,38 @@ class TestTwoFeaturePath:
         spec = OutcomeSpec(OutcomeKind.LOG_ODDS, Link.LOGIT)
         with pytest.raises(DimensionMismatchError):
             shapley_two_feature(model, spec, (0.0,))
+
+
+class TestDecisionThresholdEfficiency:
+    """Efficiency holds to 1e-10 against ``predict`` right at the decision
+    threshold: the full subset's value must be the prediction's own
+    inclusive indicator, with no variance dust and no rounding of
+    b0 + sum(delta) to the other side of eta_star."""
+
+    SPEC = OutcomeSpec(OutcomeKind.DECISION, Link.LOGIT)
+
+    def test_reproducer_at_eta_1e_7(self):
+        model = GaussianLPM(0.0, (1.0,) * 4, (0.0,) * 4, (0.908, 16.516, 181.483, 18.317))
+        expl = shapley_exact(model, self.SPEC, (-2.279, 1.174, 1.067, 0.0380001))
+        assert expl.prediction == 1.0
+        assert abs(expl.residual()) <= 1e-10
+
+    def test_seeded_sweep_single_and_batch(self):
+        """Unit coefficients, zero means, sds log-uniform on 0.5..300 and the
+        last x set so that eta = offset, at m from 2 to 17 (both paths)."""
+        rng = np.random.default_rng(26)
+        offsets = (0.0, 1e-9, -1e-9, 1e-7)
+        for m in (2, 4, 8, 12, 16, 17):
+            for _ in range(3):
+                sds = np.exp(rng.uniform(math.log(0.5), math.log(300.0), m))
+                model = GaussianLPM(0.0, (1.0,) * m, (0.0,) * m, tuple(sds))
+                xs = rng.normal(0.0, sds, size=(len(offsets), m))
+                xs[:, -1] = np.array(offsets) - xs[:, :-1].sum(axis=1)
+                batch = shapley_exact_batch(model, self.SPEC, xs)
+                for row, x in zip(batch, xs):
+                    prediction = predict(model, self.SPEC, x)
+                    assert abs(row[0] + math.fsum(row[1:]) - prediction) <= 1e-10
+                    assert abs(shapley_exact(model, self.SPEC, x).residual()) <= 1e-10
 
 
 class TestDecisionDiscontinuity:
@@ -367,8 +415,9 @@ class TestExactPaths:
 
     @staticmethod
     def _assert_cf_matches_enumeration(b0, delta, t, spec):
-        _, want = engine._enumerate_phis(b0, delta, t, spec)
-        got = engine._cf_phis(float(b0[0]), delta[0], t[0], spec, math.inf)
+        eta = b0 + delta.sum(axis=1)
+        _, want = engine._enumerate_phis(b0, eta, delta, t, spec)
+        got = engine._cf_phis(float(b0[0]), float(eta[0]), delta[0], t[0], spec, math.inf)
         assert_allclose(got, want[0], rtol=0, atol=1e-12)
         return got
 
@@ -401,17 +450,19 @@ class TestExactPaths:
             spec = OutcomeSpec(OutcomeKind.DECISION, Link.LOGIT, eta_star=eta_star)
             b0 = np.array([0.25 + eta_star])
             got = self._assert_cf_matches_enumeration(b0, delta, t, spec)
-            base = engine._enumerate_phis(b0, delta, t, spec)[0][0]
+            base = engine._enumerate_phis(b0, b0 + delta.sum(axis=1), delta, t, spec)[0][0]
             assert_allclose(base + got.sum(), 1.0, rtol=0, atol=1e-12)
 
     def test_wide_model_takes_the_cf_path(self):
         rng = np.random.default_rng(21)
         b0, delta, t = self._case(rng, 20, 1.0, 0.5)
+        eta = b0 + delta.sum(axis=1)
         for spec in (self.SPECS[0], self.SPECS[-1]):
-            want_base, want = engine._enumerate_phis(b0, delta, t, spec)
-            base, phis = engine._exact_phis(b0, delta, t, spec)
+            want_base, want = engine._enumerate_phis(b0, eta, delta, t, spec)
+            base, phis = engine._exact_phis(b0, eta, delta, t, spec)
             assert np.array_equal(
-                phis[0], engine._cf_phis(float(b0[0]), delta[0], t[0], spec, math.inf)
+                phis[0],
+                engine._cf_phis(float(b0[0]), float(eta[0]), delta[0], t[0], spec, math.inf),
             )
             assert_allclose(phis, want, rtol=0, atol=1e-12)
             assert base[0] == want_base[0]
@@ -428,8 +479,9 @@ class TestExactPaths:
         x = rng.normal(0, 1.0, m)
         spec = OutcomeSpec(OutcomeKind.DECISION, Link.LOGIT, eta_star=0.3)
         b0, delta, t = engine._model_case_arrays(model, x)
-        assert engine._cf_phis(float(b0[0]), delta[0], t[0], spec, math.inf) is None
-        base, phis = engine._enumerate_phis(b0, delta, t, spec)
+        eta = b0 + delta.sum(axis=1)
+        assert engine._cf_phis(float(b0[0]), float(eta[0]), delta[0], t[0], spec, math.inf) is None
+        base, phis = engine._enumerate_phis(b0, eta, delta, t, spec)
         expl = shapley_exact(model, spec, x)
         assert expl.baseline == base[0]
         assert expl.phis == tuple(phis[0])
@@ -465,6 +517,22 @@ class TestExactPaths:
         assert expl.phis == tuple(beta * (x - mu))
         assert expl.baseline == 0.75 + float(beta @ mu)
         assert expl.residual() == 0.0
+
+    def test_small_m_batch_memory(self, child_peak_rss):
+        """A 4,096-row batch at m = 12 in a fresh process stays under 250 MB:
+        the enumeration streams its masks instead of holding a 4,096 x 2^12
+        value table and its per-feature copies (about 440 MB)."""
+        code = (
+            "import numpy as np\n"
+            "from lpm_shapley import GaussianLPM, OutcomeKind, OutcomeSpec, shapley_exact_batch\n"
+            "rng = np.random.default_rng(27)\n"
+            "m = 12\n"
+            "model = GaussianLPM(0.2, tuple(rng.normal(0, 1, m)), (0.0,) * m, tuple(rng.uniform(0.5, 2, m)))\n"
+            "out = shapley_exact_batch(model, OutcomeSpec(OutcomeKind.DECISION), rng.normal(0, 1, (4096, m)))\n"
+            "assert out.shape == (4096, m + 1)\n"
+        )
+        rss_mb, _ = child_peak_rss(code, timeout=120)
+        assert rss_mb < 250.0
 
     def test_wide_call_memory_and_time(self, child_peak_rss):
         """One m = 24 call per outcome in a fresh process: under 300 MB of
