@@ -290,7 +290,7 @@ def shapley_exact(model: GaussianLPM, outcome: OutcomeSpec, x) -> Explanation:
         x=tuple(float(v) for v in arr),
         baseline=float(base[0]),
         phis=tuple(float(p) for p in phis[0]),
-        prediction=float(_expected_outcome(eta[0], 0.0, outcome)),
+        prediction=predict(model, outcome, arr),
     )
 
 
