@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -41,6 +42,7 @@ from .model import (
     LpmShapleyError,
     OutcomeKind,
     OutcomeSpec,
+    _field,
     _parse_json_object,
     normalize,
 )
@@ -151,15 +153,6 @@ def _outcomes_from_args(args) -> list:
 
 def _fresh_seed() -> int:
     return int.from_bytes(os.urandom(8), "big") % (2**63)
-
-
-def _effective_seed(args, config_dict=None) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if config_dict is not None and "seed" in config_dict:
-        return int(config_dict["seed"])
-    seed = _fresh_seed()
-    return seed
 
 
 def _echo_seed(seed: int) -> None:
@@ -324,23 +317,22 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _study_config(args):
+def _read_config(args) -> dict:
+    """The --config JSON object with the given override flags applied."""
     data = _parse_json_object(_read_text(args.config))
-    seed = _effective_seed(args, data)
-    merged = dict(data)
-    merged["seed"] = seed
-    if args.samples is not None:
-        merged["n_samples"] = args.samples
-    if args.link is not None:
-        merged["link"] = args.link
-    if args.eta_star is not None:
-        merged["eta_star"] = args.eta_star
-    config = StudyConfig.from_dict(merged)
-    return config, seed
+    overrides = {"link": "link", "eta_star": "eta_star", "samples": "n_samples", "seed": "seed"}
+    for flag, key in overrides.items():
+        if getattr(args, flag, None) is not None:
+            data[key] = getattr(args, flag)
+    return data
 
 
 def _cmd_study(args) -> int:
-    config, seed = _study_config(args)
+    data = _read_config(args)
+    if "seed" not in data:
+        data["seed"] = _fresh_seed()
+    config = StudyConfig.from_dict(data)
+    seed = config.rng.seed
     _echo_seed(seed)
     table = args.run_study(config, n_threads=args.threads)
     rows = table.csv_rows()
@@ -355,17 +347,13 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_baseline_sweep(args) -> int:
-    data = _parse_json_object(_read_text(args.config))
-    try:
-        expected_eta = float(data["expected_eta"])
-        variances = [float(v) for v in data["variances"]]
-    except KeyError as exc:
-        raise InputError(f"sweep config missing key: {exc.args[0]}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"sweep config has a malformed value: {exc}") from exc
-    link = Link(args.link if args.link is not None else data.get("link", "logit"))
-    eta_star = args.eta_star if args.eta_star is not None else float(data.get("eta_star", 0.0))
-    rows = baseline_sweep(expected_eta, variances, link=link, eta_star=eta_star)
+    read = functools.partial(_field, _read_config(args), source="sweep config")
+    rows = baseline_sweep(
+        read("expected_eta", float),
+        read("variances", tuple),
+        link=read("link", Link, "logit"),
+        eta_star=read("eta_star", float, 0.0),
+    )
     _emit(
         args,
         ["variance", "phi0_eta", "phi0_eta_transformed", "phi0_prob", "phi0_decision"],
@@ -386,7 +374,7 @@ def _cmd_oracle_check(args) -> int:
     x = _parse_x(args.x)
     names = args.outcome if args.outcome else list(_OUTCOME_CHOICES)
     link = Link(args.link)
-    seed = _effective_seed(args)
+    seed = _fresh_seed() if args.seed is None else args.seed
     _echo_seed(seed)
     rows = []
     all_pass = True

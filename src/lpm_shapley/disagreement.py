@@ -10,6 +10,8 @@ Four analytics live here, all closed form or bisection on closed forms:
   ranking compares signed Shapley values (largest wins, ties to the lower
   index); ranking by magnitude is a different statistic and does not
   reproduce the reference disagreement tables once beta0 moves off zero.
+  The population studies in ``simulation`` tally the same classifier over
+  whole sample blocks, with zero tolerance 0.
 * zero_level_curve — the locus where one feature's attribution crosses zero,
   found by bisection in that feature's own coordinate for each grid value of
   the other. For the decision outcome the attribution can jump across zero
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import (
     DimensionMismatchError,
@@ -136,24 +140,22 @@ class PairDisagreement:
         return any(self.sign_disagree)
 
 
-def _signs(phis, zero_tol: float) -> list:
-    out = []
-    for p in phis:
-        if abs(p) <= zero_tol:
-            out.append(0)
-        else:
-            out.append(1 if p > 0 else -1)
-    return out
+def _signs_and_top(phis, zero_tol: float):
+    """Per-feature signs and the top feature of one or many explanations.
 
-
-def _top_feature(phis) -> int:
-    # Signed comparison: the feature with the largest Shapley value wins,
-    # ties to the lower index.
-    best = 0
-    for i in range(1, len(phis)):
-        if phis[i] > phis[best]:
-            best = i
-    return best
+    ``phis`` holds one entry per feature: a number, or an array with one
+    element per sample. A sign is 0 where |phi| <= zero_tol, else +1 or -1,
+    as int8. The top feature is the one with the largest signed value, ties
+    to the lower index. Two features, the population-block case, take one
+    comparison each way: on 65536-sample blocks ``np.sign`` costs about 4x
+    and a stacked ``argmax`` about 50x as much.
+    """
+    signs = [(p > zero_tol).view(np.int8) - (p < -zero_tol).view(np.int8) for p in phis]
+    if len(phis) == 2:
+        top = (phis[1] > phis[0]).view(np.int8)
+    else:
+        top = np.argmax(phis, axis=0)
+    return signs, top
 
 
 def classify_pair(
@@ -169,18 +171,15 @@ def classify_pair(
         raise DimensionMismatchError(
             f"explanations have {len(expl_a.phis)} and {len(expl_b.phis)} features"
         )
-    sa = _signs(expl_a.phis, zero_tol)
-    sb = _signs(expl_b.phis, zero_tol)
-    disagree = tuple(a * b < 0 for a, b in zip(sa, sb))
-    top_a = _top_feature(expl_a.phis)
-    top_b = _top_feature(expl_b.phis)
+    sa, top_a = _signs_and_top(np.asarray(expl_a.phis, dtype=np.float64), zero_tol)
+    sb, top_b = _signs_and_top(np.asarray(expl_b.phis, dtype=np.float64), zero_tol)
     return PairDisagreement(
         outcome_a=expl_a.outcome,
         outcome_b=expl_b.outcome,
-        sign_disagree=disagree,
-        top_feature_a=top_a,
-        top_feature_b=top_b,
-        top_feature_disagree=top_a != top_b,
+        sign_disagree=tuple(bool(a * b < 0) for a, b in zip(sa, sb)),
+        top_feature_a=int(top_a),
+        top_feature_b=int(top_b),
+        top_feature_disagree=bool(top_a != top_b),
     )
 
 

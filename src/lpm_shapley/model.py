@@ -86,6 +86,10 @@ class Link(enum.Enum):
         """Link scaling: 1 for probit, 8/pi for the logit approximation."""
         return 1.0 if self is Link.PROBIT else LOGIT_LAMBDA
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"{value!r} is not logit or probit")
+
 
 @dataclass(frozen=True)
 class OutcomeSpec:
@@ -122,16 +126,11 @@ class OutcomeSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "OutcomeSpec":
-        try:
-            kind = OutcomeKind(doc["kind"])
-        except (KeyError, ValueError) as exc:
-            raise InvalidModelError(f"bad outcome kind: {exc}") from exc
-        try:
-            link = Link(doc.get("link", "logit"))
-        except ValueError as exc:
-            raise InvalidModelError(f"bad link: {exc}") from exc
-        eta_star = float(doc.get("eta_star", 0.0))
-        return cls(kind=kind, link=link, eta_star=eta_star)
+        return cls(
+            kind=_field(doc, "kind", OutcomeKind, source="outcome"),
+            link=_field(doc, "link", Link, "logit", "outcome"),
+            eta_star=_field(doc, "eta_star", float, 0.0, "outcome"),
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -149,6 +148,27 @@ def _parse_json_object(text: str) -> dict:
     if not isinstance(doc, dict):
         raise InvalidModelError("expected a JSON object")
     return doc
+
+
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, convert, default=_REQUIRED, source: str = "config"):
+    """``convert`` of ``doc[key]``, or of ``default`` when the key is absent.
+
+    A missing required key, or a value that ``convert`` rejects with a
+    TypeError or ValueError, is an InvalidModelError naming the key.
+    """
+    if key in doc:
+        value = doc[key]
+    elif default is _REQUIRED:
+        raise InvalidModelError(f"{source} missing key: {key}")
+    else:
+        value = default
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidModelError(f"{source} has a malformed {key}: {exc}") from exc
 
 
 def _as_float_tuple(values, name: str) -> tuple:
@@ -176,7 +196,10 @@ class GaussianLPM:
     stddevs: tuple
 
     def __init__(self, intercept: float, coefficients, means, stddevs) -> None:
-        intercept = float(intercept)
+        try:
+            intercept = float(intercept)
+        except (TypeError, ValueError) as exc:
+            raise InvalidModelError("intercept must be a number") from exc
         if not math.isfinite(intercept):
             raise InvalidModelError("intercept must be finite")
         object.__setattr__(self, "intercept", intercept)

@@ -15,7 +15,7 @@ output. Thread pools only overlap the block computations.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,8 +28,12 @@ from .model import (
     Link,
     OutcomeKind,
     OutcomeSpec,
+    _as_float_tuple,
     _expected_outcome,
+    _field,
+    _parse_json_object,
 )
+from .disagreement import _signs_and_top
 from .engine import two_feature_phis
 from .oracle import RngSpec, standard_normal
 
@@ -51,6 +55,7 @@ PAIR_LABELS = (
     "probability_vs_decision",
     "log_odds_vs_decision",
 )
+_PAIR_KINDS = (("log_odds", "probability"), ("probability", "decision"), ("log_odds", "decision"))
 
 
 @dataclass(frozen=True)
@@ -116,31 +121,19 @@ class StudyConfig:
     def from_dict(cls, data: dict) -> "StudyConfig":
         if not isinstance(data, dict):
             raise InvalidModelError("study config must be a JSON object")
-        try:
-            expected_eta = data["expected_eta"]
-            scaled_sigmas = data["scaled_sigmas"]
-        except KeyError as exc:
-            raise InvalidModelError(f"study config missing key: {exc.args[0]}") from exc
-        try:
-            link = Link(data.get("link", "logit"))
-        except ValueError as exc:
-            raise InvalidModelError("study config link must be logit or probit") from exc
+        read = functools.partial(_field, data, source="study config")
         return cls(
-            expected_eta=expected_eta,
-            scaled_sigmas=tuple(scaled_sigmas),
-            link=link,
-            eta_star=float(data.get("eta_star", 0.0)),
-            n_samples=int(data.get("n_samples", 1_000_000)),
-            rng=RngSpec(seed=int(data.get("seed", 0)), stream=int(data.get("stream", 0))),
+            expected_eta=read("expected_eta", float),
+            scaled_sigmas=read("scaled_sigmas", lambda v: tuple(float(s) for s in v)),
+            link=read("link", Link, "logit"),
+            eta_star=read("eta_star", float, 0.0),
+            n_samples=read("n_samples", int, 1_000_000),
+            rng=RngSpec(seed=read("seed", int, 0), stream=read("stream", int, 0)),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "StudyConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidModelError(f"study config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_parse_json_object(text))
 
 
 @dataclass(frozen=True)
@@ -234,75 +227,59 @@ def _thread_count(n_threads) -> int:
     return n
 
 
-def _block_sizes(n_samples: int) -> list:
-    full, rem = divmod(n_samples, BLOCK_SIZE)
-    sizes = [BLOCK_SIZE] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
-
-
 def _draw_block(config: StudyConfig, block_index: int, size: int):
     z = standard_normal(config.rng, 2 * size, path=(0, block_index)).reshape(size, 2)
     s1, s2 = config.scaled_sigmas
     return z[:, 0] * s1, z[:, 1] * s2
 
 
-def _block_phis(config: StudyConfig, x1, x2):
-    """(phi1, phi2) arrays per outcome, plus the block's decision values."""
+def _study_block(config: StudyConfig, tally, block_index: int, size: int) -> tuple:
+    """(all decisions 1, any decision 1, ``tally`` of {kind: (phi1, phi2)}) of one block.
+
+    ``_draw_block`` stays a call of its own so that the (size, 2) normal
+    buffer is freed before the kernels run.
+    """
+    x1, x2 = _draw_block(config, block_index, size)
     b0 = config.expected_eta
     s1, s2 = config.scaled_sigmas
-    out = {}
+    phis = {}
     for spec in config.outcomes():
         _, p1, p2 = two_feature_phis(b0, s1, s2, x1, x2, spec)
-        out[spec.kind.value] = (np.asarray(p1, dtype=float), np.asarray(p2, dtype=float))
-    decisions = (b0 + x1 + x2 >= config.eta_star).astype(np.int8)
-    return out, decisions
+        phis[spec.kind.value] = (p1, p2)
+    decided = b0 + x1 + x2 >= config.eta_star
+    return bool(decided.all()), bool(decided.any()), tally(phis)
 
 
-def _disagreement_block(config: StudyConfig, block_index: int, size: int) -> dict:
-    x1, x2 = _draw_block(config, block_index, size)
-    phis, decisions = _block_phis(config, x1, x2)
-    kinds = ("log_odds", "probability", "decision")
-    tallies = {"n": size, "dec_min": int(decisions.min()), "dec_max": int(decisions.max())}
-    signs = {}
-    tops = {}
-    for kind in kinds:
-        p1, p2 = phis[kind]
-        # zero tolerance 0: an exactly-zero attribution has sign 0
-        signs[kind] = (np.sign(p1), np.sign(p2))
-        tops[kind] = (p2 > p1).astype(np.int8)  # argmax of signed values, tie -> 0
-    for pair, (ka, kb) in zip(
-        PAIR_LABELS, (("log_odds", "probability"), ("probability", "decision"), ("log_odds", "decision"))
-    ):
-        sa1, sa2 = signs[ka]
-        sb1, sb2 = signs[kb]
-        sign_dis = (sa1 * sb1 < 0) | (sa2 * sb2 < 0)
-        top_dis = tops[ka] != tops[kb]
-        tallies[pair] = (int(sign_dis.sum()), int(top_dis.sum()))
-    return tallies
+def _disagreement_tally(phis: dict) -> dict:
+    """Per pair: samples with an opposite-sign feature, samples whose top differs."""
+    classes = {kind: _signs_and_top(p, 0.0) for kind, p in phis.items()}
+    counts = {}
+    for pair, (ka, kb) in zip(PAIR_LABELS, _PAIR_KINDS):
+        (sa, top_a), (sb, top_b) = classes[ka], classes[kb]
+        sign_dis = (sa[0] * sb[0] < 0) | (sa[1] * sb[1] < 0)
+        counts[pair] = (int(np.count_nonzero(sign_dis)), int(np.count_nonzero(top_a != top_b)))
+    return counts
 
 
-def _importance_block(config: StudyConfig, block_index: int, size: int) -> dict:
-    x1, x2 = _draw_block(config, block_index, size)
-    phis, decisions = _block_phis(config, x1, x2)
-    tallies = {"n": size, "dec_min": int(decisions.min()), "dec_max": int(decisions.max())}
-    for kind in ("log_odds", "probability", "decision"):
-        p1, p2 = phis[kind]
-        tallies[kind] = (float(np.abs(p1).sum()), float(np.abs(p2).sum()))
-    return tallies
+def _importance_tally(phis: dict) -> dict:
+    """Per outcome: (sum |phi1|, sum |phi2|) over the block."""
+    return {k: (float(np.abs(p1).sum()), float(np.abs(p2).sum())) for k, (p1, p2) in phis.items()}
 
 
-def _run_blocks(config: StudyConfig, worker, n_threads) -> list:
-    sizes = _block_sizes(config.n_samples)
+def _run_blocks(config: StudyConfig, tally, n_threads) -> tuple:
+    """Per-block tallies in block order, and whether the decision never varied."""
+    full, rem = divmod(config.n_samples, BLOCK_SIZE)
+    jobs = [(i, BLOCK_SIZE) for i in range(full)] + ([(full, rem)] if rem else [])
     threads = _thread_count(n_threads)
-    jobs = list(enumerate(sizes))
     if threads == 1:
-        return [worker(config, i, s) for i, s in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # map preserves submission order, so the reduction below is
-        # independent of scheduling
-        return list(pool.map(lambda job: worker(config, job[0], job[1]), jobs))
+        results = [_study_block(config, tally, i, size) for i, size in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            # map preserves submission order, so the reductions are
+            # independent of scheduling
+            results = list(pool.map(lambda job: _study_block(config, tally, *job), jobs))
+    degenerate = all(r[0] for r in results) or not any(r[1] for r in results)
+    return [r[2] for r in results], degenerate
 
 
 def run_disagreement_study(config: StudyConfig, n_threads=None) -> DisagreementTable:
@@ -314,20 +291,7 @@ def run_disagreement_study(config: StudyConfig, n_threads=None) -> DisagreementT
     Rates are percentages. Cells of decision-involving pairs are None when
     the sampled decision is constant.
     """
-    results = _run_blocks(config, _disagreement_block, n_threads)
-    n_total = 0
-    sign_counts = {pair: 0 for pair in PAIR_LABELS}
-    top_counts = {pair: 0 for pair in PAIR_LABELS}
-    dec_min, dec_max = 1, 0
-    for tal in results:
-        n_total += tal["n"]
-        dec_min = min(dec_min, tal["dec_min"])
-        dec_max = max(dec_max, tal["dec_max"])
-        for pair in PAIR_LABELS:
-            s, t = tal[pair]
-            sign_counts[pair] += s
-            top_counts[pair] += t
-    degenerate = dec_min == dec_max
+    tallies, degenerate = _run_blocks(config, _disagreement_tally, n_threads)
     sign_pct = {}
     top_pct = {}
     for pair in PAIR_LABELS:
@@ -335,8 +299,8 @@ def run_disagreement_study(config: StudyConfig, n_threads=None) -> DisagreementT
             sign_pct[pair] = None
             top_pct[pair] = None
         else:
-            sign_pct[pair] = 100.0 * sign_counts[pair] / n_total
-            top_pct[pair] = 100.0 * top_counts[pair] / n_total
+            sign_pct[pair] = 100.0 * sum(t[pair][0] for t in tallies) / config.n_samples
+            top_pct[pair] = 100.0 * sum(t[pair][1] for t in tallies) / config.n_samples
     return DisagreementTable(
         config=config, sign_pct=sign_pct, top_pct=top_pct, decision_degenerate=degenerate
     )
@@ -352,23 +316,16 @@ def run_importance_study(config: StudyConfig, n_threads=None) -> ImportanceTable
     decision explanation is numerically degenerate there and its ratio
     meaningless).
     """
-    results = _run_blocks(config, _importance_block, n_threads)
-    sums = {k: [0.0, 0.0] for k in ("log_odds", "probability", "decision")}
-    dec_min, dec_max = 1, 0
-    for tal in results:
-        dec_min = min(dec_min, tal["dec_min"])
-        dec_max = max(dec_max, tal["dec_max"])
-        for kind in sums:
-            s1, s2 = tal[kind]
-            sums[kind][0] += s1
-            sums[kind][1] += s2
-    degenerate = dec_min == dec_max
+    tallies, degenerate = _run_blocks(config, _importance_tally, n_threads)
     importance = {}
     relative = {}
     excess = {}
     for kind in ("log_odds", "probability", "decision"):
-        i1 = sums[kind][0]
-        i2 = sums[kind][1]
+        # float sums in block order: the bits cannot depend on threading
+        i1 = i2 = 0.0
+        for t in tallies:
+            i1 += t[kind][0]
+            i2 += t[kind][1]
         importance[kind] = (i1, i2)
         if i2 == 0.0 or (degenerate and kind == "decision"):
             relative[kind] = None
@@ -414,10 +371,9 @@ def baseline_sweep(expected_eta: float, variance_grid, link: Link = Link.LOGIT, 
     decision = OutcomeSpec(OutcomeKind.DECISION, link, eta_star=eta_star)
     transformed = float(_expected_outcome(expected_eta, 0.0, probability))
     rows = []
-    for v in variance_grid:
-        v = float(v)
-        if not (math.isfinite(v) and v > 0):
-            raise InvalidModelError("variance grid entries must be finite and positive")
+    for v in _as_float_tuple(variance_grid, "variance grid"):
+        if not v > 0:
+            raise InvalidModelError("variance grid entries must be positive")
         rows.append(
             {
                 "variance": v,

@@ -511,6 +511,40 @@ class TestBaselineSweep:
         assert code == 2
 
 
+class TestMalformedInput:
+    SWEEP = {"expected_eta": 1.0, "variances": [0.01, 1.0]}
+
+    @pytest.mark.parametrize(
+        "command, flag, doc",
+        [
+            ("disagree-study", "--config", dict(STUDY, scaled_sigmas=5)),
+            ("disagree-study", "--config", dict(STUDY, expected_eta=None)),
+            ("disagree-study", "--config", dict(STUDY, n_samples=None)),
+            ("importance-study", "--config", dict(STUDY, seed=None)),
+            ("baseline-sweep", "--config", dict(SWEEP, eta_star=None)),
+            ("baseline-sweep", "--config", dict(SWEEP, variances=[None])),
+            ("baseline", "--model", dict(MODEL, intercept=None)),
+        ],
+        ids=[
+            "study-scaled_sigmas",
+            "study-expected_eta",
+            "study-n_samples",
+            "study-seed",
+            "sweep-eta_star",
+            "sweep-variances",
+            "model-intercept",
+        ],
+    )
+    def test_malformed_value_is_input_error(self, capsys, tmp_path, command, flag, doc):
+        """A config or model value of the wrong type is an input error (exit
+        2 with an ``error:`` line), never a traceback."""
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, [command, flag, str(path)])
+        assert code == 2
+        assert any(line.startswith("error: ") for line in err.splitlines())
+
+
 class TestOracleCheck:
     def test_agreement_passes(self, capsys, model_path):
         code, out, err = run(

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from lpm_shapley import (
     DimensionMismatchError,
+    Explanation,
     GaussianLPM,
     InvalidModelError,
     Link,
@@ -149,6 +150,29 @@ class TestClassifyPair:
         assert pair.top_feature_a == 1
         assert pair.top_feature_b == 0
         assert pair.top_feature_disagree
+
+    def test_zero_tolerance_band(self):
+        """An attribution of 5e-13 is zero at the default tolerance, so it
+        disagrees with nothing; at zero_tol=0, the population tally's
+        tolerance, it is positive and opposes a negative one."""
+        spec = _spec(OutcomeKind.LOG_ODDS)
+        tiny = Explanation(spec, (0.0, 0.0), 0.0, (5e-13, 1.0), 1.0)
+        negative = Explanation(spec, (0.0, 0.0), 0.0, (-0.5, 1.0), 0.5)
+        assert classify_pair(tiny, negative).sign_disagree == (False, False)
+        pair = classify_pair(tiny, negative, zero_tol=0.0)
+        assert pair.sign_disagree == (True, False)
+        assert [type(v) for v in pair.sign_disagree] == [bool, bool]
+        assert type(pair.top_feature_a) is int and type(pair.top_feature_disagree) is bool
+
+    def test_top_feature_over_three_features(self):
+        """Past two features the signed argmax still sends ties to the lower
+        index."""
+        spec = _spec(OutcomeKind.LOG_ODDS)
+        tied = Explanation(spec, (0.0,) * 3, 0.0, (0.2, 0.5, 0.5), 1.2)
+        last = Explanation(spec, (0.0,) * 3, 0.0, (0.2, -0.1, 0.3), 0.4)
+        pair = classify_pair(tied, last)
+        assert (pair.top_feature_a, pair.top_feature_b) == (1, 2)
+        assert pair.sign_disagree == (False, True, False)
 
     def test_length_mismatch_rejected(self):
         m2 = _model(0.0, 2.0, 1.0)

@@ -18,9 +18,12 @@ from lpm_shapley import (
     RngSpec,
     StudyConfig,
     baseline_sweep,
+    classify_pair,
     eta_importance_closed_form,
     run_disagreement_study,
     run_importance_study,
+    shapley_two_feature,
+    standard_normal,
     std_normal_cdf,
 )
 
@@ -109,6 +112,25 @@ class TestStudyConfig:
     def test_from_json_rejects_bad_text(self):
         with pytest.raises(InvalidModelError, match="JSON"):
             StudyConfig.from_json("{not json")
+
+
+class TestTallyIsClassifyPair:
+    def test_block_counts_match_classify_pair(self):
+        """One 2000-sample block: the study's counts are exactly those of
+        classify_pair(..., zero_tol=0.0) over per-sample explanations of the
+        same draws, so both compute one statistic."""
+        cfg = _config(1.0, (2.0, 1.0), n_samples=2000, seed=7)
+        xs = standard_normal(cfg.rng, 4000, path=(0, 0)).reshape(2000, 2) * cfg.scaled_sigmas
+        model = cfg.model()
+        expls = [[shapley_two_feature(model, spec, x) for spec in cfg.outcomes()] for x in xs]
+        table = run_disagreement_study(cfg)
+        for pair, (a, b) in zip(PAIRS, ((0, 1), (1, 2), (0, 2))):
+            verdicts = [classify_pair(e[a], e[b], zero_tol=0.0) for e in expls]
+            signs = sum(v.any_sign_disagree for v in verdicts)
+            tops = sum(v.top_feature_disagree for v in verdicts)
+            assert signs > 0 and tops > 0
+            assert table.sign_pct[pair] == 100.0 * signs / 2000
+            assert table.top_pct[pair] == 100.0 * tops / 2000
 
 
 class TestDeterminism:
