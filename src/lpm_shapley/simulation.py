@@ -55,7 +55,6 @@ PAIR_LABELS = (
     "probability_vs_decision",
     "log_odds_vs_decision",
 )
-_PAIR_KINDS = (("log_odds", "probability"), ("probability", "decision"), ("log_odds", "decision"))
 
 
 @dataclass(frozen=True)
@@ -234,10 +233,11 @@ def _draw_block(config: StudyConfig, block_index: int, size: int):
 
 
 def _study_block(config: StudyConfig, tally, block_index: int, size: int) -> tuple:
-    """(all decisions 1, any decision 1, ``tally`` of {kind: (phi1, phi2)}) of one block.
+    """Draw, explain and tally one block.
 
-    ``_draw_block`` stays a call of its own so that the (size, 2) normal
-    buffer is freed before the kernels run.
+    Returns (every decision is 1, some decision is 1, ``tally(phis)``), with
+    phis {outcome kind: (phi1, phi2)}. The draw stays a call of its own so
+    that its (size, 2) normal buffer is freed before the kernels run.
     """
     x1, x2 = _draw_block(config, block_index, size)
     b0 = config.expected_eta
@@ -254,8 +254,8 @@ def _disagreement_tally(phis: dict) -> dict:
     """Per pair: samples with an opposite-sign feature, samples whose top differs."""
     classes = {kind: _signs_and_top(p, 0.0) for kind, p in phis.items()}
     counts = {}
-    for pair, (ka, kb) in zip(PAIR_LABELS, _PAIR_KINDS):
-        (sa, top_a), (sb, top_b) = classes[ka], classes[kb]
+    for pair in PAIR_LABELS:
+        (sa, top_a), (sb, top_b) = (classes[kind] for kind in pair.split("_vs_"))
         sign_dis = (sa[0] * sb[0] < 0) | (sa[1] * sb[1] < 0)
         counts[pair] = (int(np.count_nonzero(sign_dis)), int(np.count_nonzero(top_a != top_b)))
     return counts
