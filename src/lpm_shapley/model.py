@@ -128,8 +128,8 @@ class OutcomeSpec:
     def from_dict(cls, doc: dict) -> "OutcomeSpec":
         return cls(
             kind=_field(doc, "kind", OutcomeKind, source="outcome"),
-            link=_field(doc, "link", Link, "logit", "outcome"),
-            eta_star=_field(doc, "eta_star", float, 0.0, "outcome"),
+            link=_field(doc, "link", Link, "logit", source="outcome"),
+            eta_star=_field(doc, "eta_star", float, 0.0, source="outcome"),
         )
 
     def to_json(self) -> str:
